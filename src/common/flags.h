@@ -1,9 +1,12 @@
 // Minimal command-line flag parsing for the tools: --key=value and --key
-// boolean forms. No global registry; call sites query by name.
+// boolean forms. No global registry; call sites query by name, and the
+// set remembers every name queried so a tool can reject the flags it never
+// asked for (Unqueried).
 #pragma once
 
 #include <cstdlib>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,7 @@ class FlagSet {
   }
 
   std::optional<std::string> Get(const std::string& name) const {
+    queried_.insert(name);
     for (const auto& [key, value] : flags_) {
       if (key == name) {
         return value;
@@ -63,9 +67,22 @@ class FlagSet {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // Names of the flags given on the command line that no getter has asked
+  // for, in command-line order.
+  std::vector<std::string> Unqueried() const {
+    std::vector<std::string> names;
+    for (const auto& [key, value] : flags_) {
+      if (queried_.count(key) == 0) {
+        names.push_back(key);
+      }
+    }
+    return names;
+  }
+
  private:
   std::vector<std::pair<std::string, std::string>> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> queried_;
 };
 
 }  // namespace mtm

@@ -40,18 +40,26 @@ const char* SolutionKindName(SolutionKind kind) {
   return "?";
 }
 
-SolutionKind SolutionKindFromName(const std::string& name) {
-  for (SolutionKind k :
-       {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kVanillaTieredAutoNuma,
-        SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
-        SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
-        SolutionKind::kAutoNumaProfilerMtmMigration}) {
+std::vector<SolutionKind> AllSolutionKinds() {
+  return {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kVanillaTieredAutoNuma,
+          SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
+          SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
+          SolutionKind::kAutoNumaProfilerMtmMigration};
+}
+
+std::optional<SolutionKind> ParseSolutionKind(const std::string& name) {
+  for (SolutionKind k : AllSolutionKinds()) {
     if (name == SolutionKindName(k)) {
       return k;
     }
   }
-  MTM_CHECK(false) << "unknown solution: " << name;
-  return SolutionKind::kMtm;
+  return std::nullopt;
+}
+
+SolutionKind SolutionKindFromName(const std::string& name) {
+  std::optional<SolutionKind> kind = ParseSolutionKind(name);
+  MTM_CHECK(kind.has_value()) << "unknown solution: " << name;
+  return *kind;
 }
 
 std::vector<SolutionKind> Figure4Solutions() {
@@ -150,7 +158,6 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
       pc.adaptive_sampling = config.mtm.adaptive_sampling;
       pc.overhead_control = config.mtm.overhead_control;
       pc.use_pebs = config.mtm.use_pebs;
-      pc.scan_threads = config.mtm.scan_threads;
       pc.seed = config.seed ^ 0x5151;
       profiler_ = std::make_unique<MtmProfiler>(*machine_, page_table_, address_space_,
                                                 *engine_, pebs_.get(), pc);
@@ -266,7 +273,6 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
   }
   migration_ = std::make_unique<MigrationEngine>(*machine_, page_table_, *frames_,
                                                  address_space_, *counters_, clock_, mech);
-  migration_->set_migrate_threads(config.mtm.migrate_threads);
   engine_->set_write_track_observer(migration_.get());
   if (fault_injector() != nullptr) {
     migration_->set_fault_injector(fault_injector());

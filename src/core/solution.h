@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,11 @@ enum class SolutionKind {
 };
 
 const char* SolutionKindName(SolutionKind kind);
+// Every solution, in declaration order.
+std::vector<SolutionKind> AllSolutionKinds();
+// The solution named `name`, or nullopt for an unknown name.
+std::optional<SolutionKind> ParseSolutionKind(const std::string& name);
+// As ParseSolutionKind, but an unknown name is a CHECK failure.
 SolutionKind SolutionKindFromName(const std::string& name);
 std::vector<SolutionKind> Figure4Solutions();
 

@@ -21,19 +21,7 @@ MigrationEngine::MigrationEngine(const Machine& machine, PageTable& page_table,
       counters_(counters),
       clock_(clock),
       kind_(kind),
-      model_(model) {
-  if (MechanismUsesAsyncCopy(kind_)) {
-    copy_engine_ = std::make_unique<AsyncCopyEngine>(migrate_threads_);
-  }
-}
-
-void MigrationEngine::set_migrate_threads(u32 num_threads) {
-  MTM_CHECK(pending_.empty()) << "set_migrate_threads with copies in flight";
-  migrate_threads_ = num_threads == 0 ? 1 : num_threads;
-  if (MechanismUsesAsyncCopy(kind_)) {
-    copy_engine_ = std::make_unique<AsyncCopyEngine>(migrate_threads_);
-  }
-}
+      model_(model) {}
 
 MechanismCost MigrationEngine::PlanCost(const MigrationOrder& order, MechanismKind kind,
                                         Bytes* bytes_out, ComponentId* src_out) {
@@ -288,13 +276,6 @@ std::vector<PageCopyRecord> MigrationEngine::SnapshotCopyRecords(
   return records;
 }
 
-void MigrationEngine::DiscardStagedCopy(Pending& p) {
-  if (copy_engine_ != nullptr && p.copy_ticket != 0) {
-    copy_engine_->Cancel(p.copy_ticket);
-    p.copy_ticket = 0;
-  }
-}
-
 void MigrationEngine::AttachObservability(Observability* obs) {
   obs_ = obs;
   if (obs_ == nullptr) {
@@ -514,12 +495,12 @@ Status MigrationEngine::SubmitAttempt(const MigrationOrder& submitted, u32 attem
   p.complete_at = clock_.now() + p.background_ns;
   p.cost = cost;
   p.attempt = attempt;
-  if (copy_engine_ != nullptr) {
-    // Stage the real copy: snapshot the still-to-move pages while the arming
-    // TLB flush is fresh and dispatch the shards to the helper threads. The
-    // write-track fault is the join point, so no simulated write can change
-    // a page between this snapshot and the copy's commit.
-    p.copy_ticket = copy_engine_->Begin(SnapshotCopyRecords(order));
+  if (MechanismUsesAsyncCopy(kind_)) {
+    // Stage the copy: snapshot the still-to-move pages while the arming TLB
+    // flush is fresh. A write to the region forces the §7.2 fallback, so no
+    // simulated write can change a page between this snapshot and the
+    // copy's commit.
+    p.staged_copy = CopyRegion(SnapshotCopyRecords(order));
   }
   if (obs_ != nullptr && obs_->async_flows) {
     p.flow_id = next_flow_id_++;
@@ -529,8 +510,7 @@ Status MigrationEngine::SubmitAttempt(const MigrationOrder& submitted, u32 attem
   return OkStatus();
 }
 
-void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
-                                    double remaining_fraction) {
+void MigrationEngine::FinishPending(std::size_t index, bool forced_sync) {
   Pending p = pending_[index];
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
 
@@ -550,15 +530,13 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
     stats_.steps.copy_ns += p.background_ns;
     stats_.steps.unmap_remap_ns += unbatched_extra;
     ++stats_.sync_fallbacks;
-    (void)remaining_fraction;
     // The staged pages are stale the moment the tracked write lands:
-    // discard the helper-thread copy; the commit path below re-reads the
-    // live contents serially.
+    // discard the staged copy; the commit path below re-reads the live
+    // contents serially.
     DiscardStagedCopy(p);
     DisarmWriteTracking(p.order);
   } else {
     stats_.background_ns += p.background_ns;
-    stats_.steps.allocate_ns += SimNanos{};  // async allocation is off the critical path
     EmitSpan("migrate_copy_async", p.submitted_at, p.background_ns);
   }
   const SimNanos finish_start = clock_.now();
@@ -605,7 +583,7 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
   Bytes still_to_move;
   ComponentId src = kInvalidComponent;
   PlanCost(p.order, kind_, &still_to_move, &src);
-  if (copy_engine_ != nullptr) {
+  if (MechanismUsesAsyncCopy(kind_)) {
     if (forced_sync) {
       // §7.2 synchronous re-copy: the committed contents are re-read from
       // the live payloads on the critical path (charged above), so the
@@ -618,12 +596,11 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
       }
       stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, checksum);
       stats_.fallback_copy_bytes += resynced;
-    } else if (p.copy_ticket != 0) {
-      // Commit from the staged helper-thread copy: join the batch and fold
-      // its region checksum. No write hit the window (the fault would have
-      // forced sync), so the snapshot still matches the live contents.
-      RegionCopyResult staged = copy_engine_->Join(p.copy_ticket);
-      p.copy_ticket = 0;
+    } else if (p.staged_copy.has_value()) {
+      // Commit from the staged copy and fold its region checksum. No write
+      // hit the window (the fault would have forced sync), so the snapshot
+      // still matches the live contents.
+      const RegionCopyResult& staged = *p.staged_copy;
       stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, staged.checksum);
       stats_.async_copy_bytes += staged.bytes;
       stats_.copy_shards += staged.shards;
@@ -706,7 +683,7 @@ void MigrationEngine::BeginInterval() {
 void MigrationEngine::Poll() {
   for (std::size_t i = 0; i < pending_.size();) {
     if (pending_[i].complete_at <= clock_.now()) {
-      FinishPending(i, /*forced_sync=*/false, 0.0);
+      FinishPending(i, /*forced_sync=*/false);
       // FinishPending erased element i; stay at the same index.
     } else {
       ++i;
@@ -717,7 +694,7 @@ void MigrationEngine::Poll() {
 
 void MigrationEngine::Flush() {
   while (!pending_.empty()) {
-    FinishPending(0, /*forced_sync=*/false, 0.0);
+    FinishPending(0, /*forced_sync=*/false);
   }
   // Run down the retry backlog ignoring backoff deadlines: each attempt
   // either commits, re-queues with a higher attempt number (bounded by
@@ -730,7 +707,7 @@ void MigrationEngine::Flush() {
     // mtm-analyze: allow(discarded-status) retry outcome is tracked via stats_/retry_queue_
     SubmitAttempt(e.order, e.attempt);
     while (!pending_.empty()) {
-      FinishPending(0, /*forced_sync=*/false, 0.0);
+      FinishPending(0, /*forced_sync=*/false);
     }
   }
 }
@@ -739,11 +716,7 @@ void MigrationEngine::OnWriteTrackFault(VirtAddr addr, u32 /*socket*/) {
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const Pending& p = pending_[i];
     if (addr >= p.order.start && addr < p.order.start + p.order.len.value()) {
-      double elapsed = static_cast<double>((clock_.now() - p.submitted_at).value());
-      double remaining = p.background_ns.IsZero()
-                             ? 0.0
-                             : 1.0 - elapsed / static_cast<double>(p.background_ns.value());
-      FinishPending(i, /*forced_sync=*/true, remaining);
+      FinishPending(i, /*forced_sync=*/true);
       return;
     }
   }

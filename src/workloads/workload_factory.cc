@@ -54,4 +54,10 @@ std::vector<std::string> AllWorkloadNames() {
   return {"gups", "voltdb", "cassandra", "bfs", "sssp", "spark"};
 }
 
+std::vector<std::string> KnownWorkloadNames() {
+  std::vector<std::string> names = AllWorkloadNames();
+  names.push_back("pingpong");
+  return names;
+}
+
 }  // namespace mtm

@@ -28,4 +28,7 @@ std::unique_ptr<Workload> MakeWorkload(const std::string& name, u64 sim_scale,
 // The Table 2 set iterated by the paper's figures; excludes pingpong.
 std::vector<std::string> AllWorkloadNames();
 
+// Every name MakeWorkload accepts: the Table 2 set plus pingpong.
+std::vector<std::string> KnownWorkloadNames();
+
 }  // namespace mtm

@@ -1,5 +1,6 @@
 // End-to-end integration tests: the §8 daemon loop over every solution.
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "src/common/types.h"
 #include "src/core/driver.h"
@@ -94,6 +95,13 @@ struct SolutionCase {
   SolutionKind kind;
   const char* workload;
 };
+
+// gtest names each case by its printed parameter. Without this it prints the
+// object's raw bytes, which hold padding and a string address that change from
+// run to run, so the test names would too.
+void PrintTo(const SolutionCase& c, std::ostream* os) {
+  *os << SolutionKindName(c.kind) << " on " << c.workload;
+}
 
 class AllSolutionsTest : public ::testing::TestWithParam<SolutionCase> {};
 

@@ -577,14 +577,14 @@ TEST(ConfigTest, ParsesErrorDisciplineAndConcurrencySections) {
   ASSERT_TRUE(ParseConfig("[error_discipline]\nstatus_paths = [\"src/migration\"]\n"
                           "fallible_verbs = [\"Try\"]\n\n[concurrency]\n"
                           "task_callbacks = [\"ParallelFor\"]\ntask_entries = []\n"
-                          "mutation_allow = [\"ObsDelta::*\"]\n",
+                          "mutation_allow = [\"ShardDelta::*\"]\n",
                           &config, &error))
       << error;
   EXPECT_EQ(config.status_paths, std::vector<std::string>{"src/migration"});
   EXPECT_EQ(config.fallible_verbs, std::vector<std::string>{"Try"});
   EXPECT_EQ(config.task_callbacks, std::vector<std::string>{"ParallelFor"});
   EXPECT_TRUE(config.task_entries.empty());
-  EXPECT_EQ(config.mutation_allow, std::vector<std::string>{"ObsDelta::*"});
+  EXPECT_EQ(config.mutation_allow, std::vector<std::string>{"ShardDelta::*"});
 }
 
 TEST(CompileCommandsTest, ExtractsFileEntries) {

@@ -232,8 +232,11 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
   }
 }
 
+// gtest names each case by the object's raw bytes. `huge` is a u64 rather than a
+// bool so the struct has no padding, whose contents would change the test names
+// from run to run.
 struct HugenessCase {
-  bool huge;
+  u64 huge;
   u64 pages;
 };
 
@@ -243,7 +246,7 @@ TEST_P(PageTableParamTest, MapTouchScanCycle) {
   const HugenessCase& param = GetParam();
   PageTable pt;
   u64 unit = param.huge ? kHugePageSize : kPageSize;
-  ASSERT_TRUE(pt.MapRange(kBase, Bytes(param.pages * unit), ComponentId(0), param.huge).ok());
+  ASSERT_TRUE(pt.MapRange(kBase, Bytes(param.pages * unit), ComponentId(0), param.huge != 0).ok());
   for (u64 i = 0; i < param.pages; ++i) {
     EXPECT_EQ(pt.Touch(kBase + i * unit + 64, i % 2 == 0), PageTable::TouchResult::kOk);
   }

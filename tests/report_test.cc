@@ -1,6 +1,9 @@
 // Tests for the reporting module and the flag parser.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/flags.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
@@ -102,6 +105,16 @@ TEST(FlagsTest, FallbacksWhenAbsent) {
   EXPECT_EQ(flags.GetU64("missing", 7), 7u);
   EXPECT_FALSE(flags.GetBool("missing", false));
   EXPECT_TRUE(flags.GetBool("missing", true));
+}
+
+TEST(FlagsTest, UnqueriedListsFlagsNoGetterAskedFor) {
+  const char* argv[] = {"prog", "--scale=256", "--bogus", "--two-tier", "--typo=1", "pos"};
+  FlagSet flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.Unqueried(), (std::vector<std::string>{"scale", "bogus", "two-tier", "typo"}));
+  EXPECT_EQ(flags.GetU64("scale", 0), 256u);
+  EXPECT_FALSE(flags.GetBool("missing", false));  // absent names count as asked too
+  EXPECT_TRUE(flags.GetBool("two-tier", false));
+  EXPECT_EQ(flags.Unqueried(), (std::vector<std::string>{"bogus", "typo"}));
 }
 
 TEST(FlagsTest, ExplicitBooleanValues) {

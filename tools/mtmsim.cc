@@ -21,11 +21,6 @@
 //   --overhead=F        profiling overhead target                    [0.05]
 //   --alpha=F           EMA weight (Equation 2)                      [0.5]
 //   --num-scans=N       PTE scans per sample per interval            [3]
-//   --scan-threads=N    workers for the sharded PTE-scan engine;
-//                       output is byte-identical for any value       [1]
-//   --migrate-threads=N helper threads for the move_memory_regions
-//                       copy stage; output is byte-identical for any
-//                       value                                        [1]
 //   --two-tier          use the single-socket DRAM+PM machine        [false]
 //   --spread-threads    spread threads over both sockets             [false]
 //   --no-pebs           disable performance-counter assistance       [false]
@@ -55,8 +50,18 @@
 //   --trace-out=PATH    write Chrome trace_event JSON (Perfetto)     [off]
 //   --trace-flows       add async-flow arrows linking migrate_arm to
 //                       the matching finish span (needs --trace-out) [false]
+//
+// A malformed command line — an unknown flag, a positional argument, a
+// value that does not parse or is out of range, an unknown name — prints
+// one line to stderr and exits with status 2 before anything runs
+// (--admission, --policy and --fault_spec errors exit 1).
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/fault_injection.h"
 #include "src/common/flags.h"
@@ -71,6 +76,65 @@
 #include "src/migration/mechanism.h"
 #include "src/migration/policy_registry.h"
 #include "src/obs/obs.h"
+#include "src/workloads/workload_factory.h"
+
+namespace {
+
+// Exit status for a malformed command line.
+constexpr int kUsageError = 2;
+
+// Joins names as "a|b|c" for error messages.
+std::string JoinNames(const std::vector<std::string>& names) {
+  std::string joined;
+  for (const std::string& name : names) {
+    joined += joined.empty() ? name : "|" + name;
+  }
+  return joined;
+}
+
+// Reads --name as a decimal integer in [min, max], or `fallback` when the
+// flag is absent. Prints one error line and returns nullopt otherwise.
+std::optional<mtm::u64> ReadInt(const mtm::FlagSet& flags, const char* name, mtm::u64 fallback,
+                                mtm::u64 min, mtm::u64 max) {
+  const std::optional<std::string> text = flags.Get(name);
+  if (!text) {
+    return fallback;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text->c_str(), &end, 10);
+  if (text->empty() || (*text)[0] < '0' || (*text)[0] > '9' || *end != '\0' ||
+      errno == ERANGE || value < min || value > max) {
+    const std::string want = max == ~mtm::u64{0}
+                                 ? "an integer >= " + std::to_string(min)
+                                 : "an integer in [" + std::to_string(min) + ", " +
+                                       std::to_string(max) + "]";
+    std::fprintf(stderr, "bad --%s: '%s' (want %s)\n", name, text->c_str(), want.c_str());
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Reads --name as a number in [min, max], or `fallback` when the
+// flag is absent. Prints one error line and returns nullopt otherwise.
+std::optional<double> ReadReal(const mtm::FlagSet& flags, const char* name, double fallback,
+                               double min, double max) {
+  const std::optional<std::string> text = flags.Get(name);
+  if (!text) {
+    return fallback;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text->c_str(), &end);
+  // Written so NaN fails the range test too.
+  if (text->empty() || *end != '\0' || !(value >= min && value <= max)) {
+    std::fprintf(stderr, "bad --%s: '%s' (want a number in [%g, %g])\n", name, text->c_str(),
+                 min, max);
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   mtm::FlagSet flags(argc, argv);
@@ -79,21 +143,33 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  constexpr mtm::u64 kU32Max = 0xffff'ffffull;
+  constexpr mtm::u64 kU64Max = ~mtm::u64{0};
+  const std::optional<mtm::u64> scale = ReadInt(flags, "scale", 512, 1, kU64Max);
+  const std::optional<mtm::u64> threads = ReadInt(flags, "threads", 8, 1, kU32Max);
+  const std::optional<mtm::u64> intervals = ReadInt(flags, "intervals", 400, 0, kU32Max);
+  const std::optional<mtm::u64> accesses = ReadInt(flags, "accesses", 30'000'000, 0, kU64Max);
+  const std::optional<mtm::u64> seed = ReadInt(flags, "seed", 42, 0, kU64Max);
+  const std::optional<mtm::u64> num_scans = ReadInt(flags, "num-scans", 3, 1, kU32Max);
+  const std::optional<mtm::u64> budget_mb = ReadInt(flags, "admission-budget-mb", 0, 0, kU32Max);
+  const std::optional<double> overhead = ReadReal(flags, "overhead", 0.05, 0.0, 1.0);
+  const std::optional<double> alpha = ReadReal(flags, "alpha", 0.5, 0.0, 1.0);
+  if (!scale || !threads || !intervals || !accesses || !seed || !num_scans || !budget_mb ||
+      !overhead || !alpha) {
+    return kUsageError;
+  }
+
   mtm::ExperimentConfig config;
-  config.sim_scale = flags.GetU64("scale", 512);
-  config.num_threads = static_cast<mtm::u32>(flags.GetU64("threads", 8));
-  config.num_intervals = static_cast<mtm::u32>(flags.GetU64("intervals", 400));
-  config.target_accesses = flags.GetU64("accesses", 30'000'000);
-  config.seed = flags.GetU64("seed", 42);
+  config.sim_scale = *scale;
+  config.num_threads = static_cast<mtm::u32>(*threads);
+  config.num_intervals = static_cast<mtm::u32>(*intervals);
+  config.target_accesses = *accesses;
+  config.seed = *seed;
   config.two_tier = flags.GetBool("two-tier", false);
   config.spread_threads = flags.GetBool("spread-threads", false);
-  config.mtm.overhead_fraction = flags.GetDouble("overhead", 0.05);
-  config.mtm.alpha = flags.GetDouble("alpha", 0.5);
-  config.mtm.num_scans = static_cast<mtm::u32>(flags.GetU64("num-scans", 3));
-  config.mtm.scan_threads = static_cast<mtm::u32>(
-      flags.GetU64("scan-threads", flags.GetU64("scan_threads", 1)));
-  config.mtm.migrate_threads = static_cast<mtm::u32>(
-      flags.GetU64("migrate-threads", flags.GetU64("migrate_threads", 1)));
+  config.mtm.overhead_fraction = *overhead;
+  config.mtm.alpha = *alpha;
+  config.mtm.num_scans = static_cast<mtm::u32>(*num_scans);
   config.mtm.use_pebs = !flags.GetBool("no-pebs", false);
   if (flags.GetBool("sync-migration", false)) {
     config.mtm.mechanism = mtm::MechanismKind::kMmrSync;
@@ -104,15 +180,11 @@ int main(int argc, char** argv) {
                  admission_name.c_str());
     return 1;
   }
-  config.mtm.admission_budget_bytes = mtm::MiB(flags.GetU64("admission-budget-mb", 0));
+  config.mtm.admission_budget_bytes = mtm::MiB(*budget_mb);
   config.policy_override = flags.GetString("policy", "");
   if (!config.policy_override.empty() && !mtm::IsKnownPolicy(config.policy_override)) {
-    std::string known;
-    for (const std::string& name : mtm::KnownPolicyNames()) {
-      known += known.empty() ? name : "|" + name;
-    }
     std::fprintf(stderr, "bad --policy: %s (want %s)\n", config.policy_override.c_str(),
-                 known.c_str());
+                 JoinNames(mtm::KnownPolicyNames()).c_str());
     return 1;
   }
   config.fault_spec = flags.GetString("fault_spec", flags.GetString("fault-spec", ""));
@@ -127,13 +199,32 @@ int main(int argc, char** argv) {
   }
 
   std::string workload = flags.GetString("workload", "gups");
-  std::string solution = flags.GetString("solution", "mtm");
+  const std::vector<std::string> workloads = mtm::KnownWorkloadNames();
+  if (std::find(workloads.begin(), workloads.end(), workload) == workloads.end()) {
+    std::fprintf(stderr, "bad --workload: %s (want %s)\n", workload.c_str(),
+                 JoinNames(workloads).c_str());
+    return kUsageError;
+  }
+  std::string solution_name = flags.GetString("solution", "mtm");
+  const std::optional<mtm::SolutionKind> solution = mtm::ParseSolutionKind(solution_name);
+  if (!solution) {
+    std::vector<std::string> solutions;
+    for (mtm::SolutionKind kind : mtm::AllSolutionKinds()) {
+      solutions.push_back(mtm::SolutionKindName(kind));
+    }
+    std::fprintf(stderr, "bad --solution: %s (want %s)\n", solution_name.c_str(),
+                 JoinNames(solutions).c_str());
+    return kUsageError;
+  }
   std::string format_name = flags.GetString("format", "human");
   mtm::ReportFormat format = mtm::ReportFormat::kHuman;
   if (format_name == "csv") {
     format = mtm::ReportFormat::kCsv;
   } else if (format_name == "json") {
     format = mtm::ReportFormat::kJson;
+  } else if (format_name != "human") {
+    std::fprintf(stderr, "bad --format: %s (want human|csv|json)\n", format_name.c_str());
+    return kUsageError;
   }
 
   mtm::RunOptions options;
@@ -159,8 +250,25 @@ int main(int argc, char** argv) {
     options.heatmap_export = &heatmap_export;
   }
 
-  mtm::RunResult result = mtm::RunExperiment(
-      workload, mtm::SolutionKindFromName(solution), config, options);
+  // Every flag mtmsim knows has been read by now; anything left is a typo
+  // or a retired option, and running without it would silently ignore it.
+  const std::vector<std::string> unknown = flags.Unqueried();
+  if (!unknown.empty()) {
+    std::string names;
+    for (const std::string& name : unknown) {
+      names += (names.empty() ? "--" : " --") + name;
+    }
+    std::fprintf(stderr, "unknown %s: %s (see the header of tools/mtmsim.cc)\n",
+                 unknown.size() == 1 ? "flag" : "flags", names.c_str());
+    return kUsageError;
+  }
+  if (!flags.positional().empty()) {
+    std::fprintf(stderr, "unexpected argument: %s (flags take the form --name=value)\n",
+                 flags.positional()[0].c_str());
+    return kUsageError;
+  }
+
+  mtm::RunResult result = mtm::RunExperiment(workload, *solution, config, options);
 
   if (options.obs != nullptr) {
     mtm::Status status = mtm::WriteObservabilityFiles(obs, metrics_out, trace_out);
