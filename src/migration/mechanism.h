@@ -31,16 +31,6 @@ enum class MechanismKind {
 
 const char* MechanismKindName(MechanismKind kind);
 
-// True for the mechanism whose copies are executed by helper threads off
-// the critical path (kMoveMemoryRegions): the migration engine stages the
-// region's copy at submit for it (src/migration/async_copy.h) and falls
-// back to synchronous copy when a tracked write lands in the copy window
-// (§7.2). The synchronous mechanisms copy on the critical path and stage
-// nothing.
-constexpr bool MechanismUsesAsyncCopy(MechanismKind kind) {
-  return kind == MechanismKind::kMoveMemoryRegions;
-}
-
 // Per-step time attribution for one migration (Figures 3 and 11).
 struct MigrationStepBreakdown {
   SimNanos allocate_ns;
