@@ -2,7 +2,7 @@
 //
 // The paper's mechanism wins because allocation and copy run on helper
 // threads off the application's critical path. The simulator models that
-// overlap in simulated time (MigrationEngine's background_ns and write
+// overlap in simulated time (the cost's background time and write
 // tracking); this file models what the copy moves:
 //
 //   * when the migration engine arms a region, it snapshots one
@@ -16,10 +16,12 @@
 //     the §7.2 write-fault fallback (the staged pages are stale and "must be
 //     copied again") and for aborted transactions.
 //
-// The copy runs on the simulation thread at submit time; the write-track
-// fault in AccessEngine::Apply reaches the engine before a simulated write
-// can change page contents, so the staged result always matches the
-// snapshot it was taken from.
+// The copy runs on the simulation thread at submit time. The in-flight
+// order owns write tracking: it arms its range at submit and disarms it at
+// every exit, page moves leave the bit alone, and a fault is matched by
+// mapping. So every write to a staged page faults in AccessEngine::Apply and
+// reaches the engine before it changes page contents, and a staged result
+// that commits always matches the snapshot it was taken from.
 #pragma once
 
 #include <cstddef>

@@ -2,11 +2,12 @@
 // copy's shard plan and checksum model (src/migration/async_copy.h), and
 // the §7.2 write-fault fallback: a write inside an in-flight window forces
 // sync fallback exactly once, loses no update, and re-copies the live
-// contents.
+// contents; write tracking lives and dies with the in-flight order.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/common/fault_injection.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
@@ -384,6 +385,11 @@ class AsyncFallbackTest : public ::testing::Test {
                            MechanismKind::kMoveMemoryRegions);
   }
 
+  ComponentId ComponentAt(VirtAddr addr) {
+    Pte* pte = page_table_.Find(addr);
+    return pte == nullptr ? kInvalidComponent : pte->component;
+  }
+
   // Still-to-move snapshot of [start, len) toward dst, the engine's own
   // staging rule re-derived for reference checksums.
   std::vector<PageCopyRecord> LiveRecords(VirtAddr start, Bytes len, ComponentId dst) {
@@ -519,6 +525,92 @@ TEST_F(AsyncFallbackTest, FallbackCounterMonotone) {
     EXPECT_EQ(engine.pending(), 0u);
   }
   EXPECT_EQ(engine.stats().async_copies + engine.stats().sync_fallbacks, 12u);
+}
+
+// ------------------------------------ write tracking owned by the order --
+//
+// An in-flight order arms the mappings of its range at submit and disarms
+// them at every exit; page moves never touch the bit; a fault is matched by
+// the faulting mapping. So a tracked write always belongs to an in-flight
+// order and forces its §7.2 fallback.
+
+TEST_F(AsyncFallbackTest, CommitDisarmsPagesAlreadyOnTarget) {
+  VirtAddr start = BuildMapped(MiB(2), t3_, false);
+  AccessEngine::Config config;
+  config.num_threads = 1;
+  AccessEngine access(machine_, page_table_, clock_, counters_, config);
+  MigrationEngine engine = MakeEngine();
+  access.set_write_track_observer(&engine);
+  ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(1), t1_, 0}).ok());
+  engine.Flush();  // the first half is now resident on t1
+  ASSERT_EQ(ComponentAt(start), t1_);
+
+  ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(2), t1_, 0}).ok());
+  clock_.AdvanceApp(Seconds(1));
+  engine.Poll();
+  ASSERT_EQ(engine.pending(), 0u);
+  u64 tracked = 0;
+  page_table_.ForEachMapping(start, MiB(2),
+                             [&](VirtAddr, Bytes, Pte& pte) { tracked += pte.write_tracked(); });
+  EXPECT_EQ(tracked, 0u);
+  access.Apply(start + kPageSize, /*is_write=*/true, 0);  // a page that was already on t1
+  EXPECT_EQ(access.write_track_faults(), 0u);
+  EXPECT_EQ(engine.stats().sync_fallbacks, 0u);
+}
+
+TEST_F(AsyncFallbackTest, WritePastOrderEndInArmedHugePageForcesFallback) {
+  VirtAddr start = BuildMapped(MiB(4), t3_, /*huge=*/true);
+  AccessEngine::Config config;
+  config.num_threads = 1;
+  AccessEngine access(machine_, page_table_, clock_, counters_, config);
+  MigrationEngine engine = MakeEngine();
+  access.set_write_track_observer(&engine);
+  // The order ends inside its first huge mapping, which it arms and moves
+  // whole.
+  ASSERT_TRUE(engine.Submit(MigrationOrder{start, KiB(512), t1_, 0}).ok());
+  const VirtAddr past_end = start + MiB(1).value();
+  ASSERT_TRUE(page_table_.Find(past_end)->write_tracked());
+  const u64 payload_before = page_table_.Find(past_end)->payload;
+
+  access.Apply(past_end, /*is_write=*/true, 0);
+  EXPECT_EQ(access.write_track_faults(), 1u);
+  EXPECT_EQ(engine.stats().sync_fallbacks, 1u);
+  EXPECT_EQ(engine.stats().async_copies, 0u);  // the stale staged copy never commits
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(ComponentAt(past_end), t1_);
+  EXPECT_EQ(page_table_.Find(past_end)->payload, MixPayload(payload_before, past_end));
+}
+
+TEST_F(AsyncFallbackTest, WriteAfterSourceTierDrainStillForcesFallback) {
+  VirtAddr start = BuildMapped(MiB(2), t3_, false);
+  AccessEngine::Config config;
+  config.num_threads = 1;
+  AccessEngine access(machine_, page_table_, clock_, counters_, config);
+  MigrationEngine engine = MakeEngine();
+  access.set_write_track_observer(&engine);
+  ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(2), t1_, 0}).ok());
+
+  // The order's source tier dies mid-copy: the drain moves its pages
+  // elsewhere, but the order is still in flight and still tracks them.
+  machine_.SetOffline(t3_, true);
+  TierFaultEvent event;
+  event.component = t3_;
+  event.offline = true;
+  engine.OnTierFault(event);
+  ASSERT_EQ(engine.pending(), 1u);
+  ASSERT_NE(ComponentAt(start), t3_);
+  EXPECT_TRUE(page_table_.Find(start)->write_tracked());
+
+  const VirtAddr target = start + 3 * kPageSize;
+  const u64 payload_before = page_table_.Find(target)->payload;
+  access.Apply(target, /*is_write=*/true, 0);
+  EXPECT_EQ(access.write_track_faults(), 1u);
+  EXPECT_EQ(engine.stats().sync_fallbacks, 1u);
+  EXPECT_EQ(engine.stats().async_copies, 0u);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(ComponentAt(target), t1_);
+  EXPECT_EQ(page_table_.Find(target)->payload, MixPayload(payload_before, target));
+  EXPECT_TRUE(engine.VerifyInvariants().ok());
 }
 
 }  // namespace
