@@ -4,6 +4,7 @@
 // asked for (Unqueried).
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -57,15 +58,41 @@ class FlagSet {
     return v ? std::strtod(v->c_str(), nullptr) : fallback;
   }
 
+  // Unrecognised values read as false; ParseBool tells them apart.
   bool GetBool(const std::string& name, bool fallback) const {
     auto v = Get(name);
     if (!v) {
       return fallback;
     }
-    return *v == "true" || *v == "1" || *v == "yes";
+    return ParseBool(*v).value_or(false);
+  }
+
+  // The boolean spellings: true|1|yes and false|0|no (a bare --name is
+  // "true"). Anything else is nullopt.
+  static std::optional<bool> ParseBool(const std::string& text) {
+    if (text == "true" || text == "1" || text == "yes") {
+      return true;
+    }
+    if (text == "false" || text == "0" || text == "no") {
+      return false;
+    }
+    return std::nullopt;
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
+
+  // Names given more than once on the command line, in order of first
+  // appearance. The getters read only the first occurrence.
+  std::vector<std::string> Repeated() const {
+    std::vector<std::string> names;
+    std::set<std::string> seen;
+    for (const auto& [key, value] : flags_) {
+      if (!seen.insert(key).second && std::find(names.begin(), names.end(), key) == names.end()) {
+        names.push_back(key);
+      }
+    }
+    return names;
+  }
 
   // Names of the flags given on the command line that no getter has asked
   // for, in command-line order.

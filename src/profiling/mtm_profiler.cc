@@ -22,6 +22,9 @@ MtmProfiler::MtmProfiler(const Machine& machine, PageTable& page_table,
   MTM_CHECK_GT(config_.interval_ns, SimNanos{});
   MTM_CHECK_GT(config_.num_scans, 0u);
   MTM_CHECK_GT(config_.hint_fault_period, 0u);
+  // Written so NaN fails too: NumPageSamples casts the budget to u64.
+  MTM_CHECK(config_.overhead_fraction >= 0.0 && config_.overhead_fraction <= 1.0)
+      << "overhead_fraction " << config_.overhead_fraction << " is not in [0, 1]";
   if (!config_.use_pebs) {
     pebs_ = nullptr;
   }

@@ -3,6 +3,7 @@
 // PEBS-assisted slow-tier profiling, and the ablation switches.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "src/common/types.h"
@@ -100,6 +101,20 @@ TEST_F(MtmProfilerTest, BudgetScalesWithOverheadTarget) {
   EXPECT_NEAR(static_cast<double>(ten->NumPageSamples()) /
                   static_cast<double>(one->NumPageSamples()),
               10.0, 0.5);
+}
+
+// NumPageSamples casts interval_ns * overhead_fraction to u64, which is
+// undefined for NaN, negative or huge products: the constructor refuses them.
+using MtmProfilerDeathTest = MtmProfilerTest;
+
+TEST_F(MtmProfilerDeathTest, RejectsOverheadFractionOutsideUnitInterval) {
+  MtmProfiler::Config config = DefaultConfig();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -0.01, 1.5}) {
+    config.overhead_fraction = bad;
+    EXPECT_DEATH(MakeProfiler(config), "overhead_fraction") << bad;
+  }
+  config.overhead_fraction = 1.0;  // the closed interval's ends are allowed
+  EXPECT_NE(MakeProfiler(config), nullptr);
 }
 
 TEST_F(MtmProfilerTest, InitialRegionsArePdeSized) {

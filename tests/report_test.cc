@@ -126,5 +126,25 @@ TEST(FlagsTest, ExplicitBooleanValues) {
   EXPECT_FALSE(flags.GetBool("d", true));
 }
 
+TEST(FlagsTest, RepeatedListsFlagsGivenMoreThanOnce) {
+  const char* argv[] = {"prog", "--a=1", "--b", "--a=2", "--c=x", "--b=false", "--a=3"};
+  FlagSet flags(7, const_cast<char**>(argv));
+  EXPECT_EQ(flags.Repeated(), (std::vector<std::string>{"a", "b"}));
+  const char* once[] = {"prog", "--a=1", "--b"};
+  EXPECT_TRUE(FlagSet(3, const_cast<char**>(once)).Repeated().empty());
+}
+
+TEST(FlagsTest, ParseBoolAcceptsOnlyTheSixSpellings) {
+  for (const char* yes : {"true", "1", "yes"}) {
+    EXPECT_EQ(FlagSet::ParseBool(yes), std::optional<bool>(true)) << yes;
+  }
+  for (const char* no : {"false", "0", "no"}) {
+    EXPECT_EQ(FlagSet::ParseBool(no), std::optional<bool>(false)) << no;
+  }
+  for (const char* bad : {"ture", "", "2", "TRUE", "y"}) {
+    EXPECT_EQ(FlagSet::ParseBool(bad), std::nullopt) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace mtm

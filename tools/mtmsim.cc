@@ -51,10 +51,12 @@
 //   --trace-flows       add async-flow arrows linking migrate_arm to
 //                       the matching finish span (needs --trace-out) [false]
 //
-// A malformed command line — an unknown flag, a positional argument, a
-// value that does not parse or is out of range, an unknown name — prints
-// one line to stderr and exits with status 2 before anything runs
-// (--admission, --policy and --fault_spec errors exit 1).
+// A malformed command line — an unknown or repeated flag, a positional
+// argument, a value that does not parse or is out of range (booleans take
+// true|false|1|0|yes|no), an unknown name — prints one line to stderr and
+// exits with status 2 before anything runs (--admission, --policy and
+// --fault_spec errors exit 1; a tier_* component must exist on the machine
+// --two-tier selects).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -76,6 +78,7 @@
 #include "src/migration/mechanism.h"
 #include "src/migration/policy_registry.h"
 #include "src/obs/obs.h"
+#include "src/sim/machine.h"
 #include "src/workloads/workload_factory.h"
 
 namespace {
@@ -90,6 +93,18 @@ std::string JoinNames(const std::vector<std::string>& names) {
     joined += joined.empty() ? name : "|" + name;
   }
   return joined;
+}
+
+// Reports flag names as "flag: --a" or "flags: --a --b" after `what`, and
+// returns the usage-error exit status.
+int ReportFlags(const char* what, const std::vector<std::string>& names, const char* hint) {
+  std::string list;
+  for (const std::string& name : names) {
+    list += (list.empty() ? "--" : " --") + name;
+  }
+  std::fprintf(stderr, "%s %s: %s (%s)\n", what, names.size() == 1 ? "flag" : "flags",
+               list.c_str(), hint);
+  return kUsageError;
 }
 
 // Reads --name as a decimal integer in [min, max], or `fallback` when the
@@ -111,6 +126,21 @@ std::optional<mtm::u64> ReadInt(const mtm::FlagSet& flags, const char* name, mtm
                                        std::to_string(max) + "]";
     std::fprintf(stderr, "bad --%s: '%s' (want %s)\n", name, text->c_str(), want.c_str());
     return std::nullopt;
+  }
+  return value;
+}
+
+// Reads --name as a boolean (FlagSet::ParseBool's spellings), or
+// `fallback` when the flag is absent. Prints one error line and returns
+// nullopt otherwise.
+std::optional<bool> ReadBool(const mtm::FlagSet& flags, const char* name, bool fallback) {
+  const std::optional<std::string> text = flags.Get(name);
+  if (!text) {
+    return fallback;
+  }
+  const std::optional<bool> value = mtm::FlagSet::ParseBool(*text);
+  if (!value) {
+    std::fprintf(stderr, "bad --%s: '%s' (want true|false|1|0|yes|no)\n", name, text->c_str());
   }
   return value;
 }
@@ -138,7 +168,14 @@ std::optional<double> ReadReal(const mtm::FlagSet& flags, const char* name, doub
 
 int main(int argc, char** argv) {
   mtm::FlagSet flags(argc, argv);
-  if (flags.GetBool("help", false)) {
+  if (!flags.Repeated().empty()) {
+    return ReportFlags("repeated", flags.Repeated(), "give each flag once");
+  }
+  const std::optional<bool> help = ReadBool(flags, "help", false);
+  if (!help) {
+    return kUsageError;
+  }
+  if (*help) {
     std::printf("see the header of tools/mtmsim.cc for flag documentation\n");
     return 0;
   }
@@ -154,8 +191,16 @@ int main(int argc, char** argv) {
   const std::optional<mtm::u64> budget_mb = ReadInt(flags, "admission-budget-mb", 0, 0, kU32Max);
   const std::optional<double> overhead = ReadReal(flags, "overhead", 0.05, 0.0, 1.0);
   const std::optional<double> alpha = ReadReal(flags, "alpha", 0.5, 0.0, 1.0);
+  const std::optional<bool> two_tier = ReadBool(flags, "two-tier", false);
+  const std::optional<bool> spread_threads = ReadBool(flags, "spread-threads", false);
+  const std::optional<bool> no_pebs = ReadBool(flags, "no-pebs", false);
+  const std::optional<bool> sync_migration = ReadBool(flags, "sync-migration", false);
+  const std::optional<bool> record_intervals = ReadBool(flags, "record-intervals", false);
+  const std::optional<bool> trace_flows = ReadBool(flags, "trace-flows", false);
+  const std::optional<bool> trace_flows_alias = ReadBool(flags, "trace_flows", false);
   if (!scale || !threads || !intervals || !accesses || !seed || !num_scans || !budget_mb ||
-      !overhead || !alpha) {
+      !overhead || !alpha || !two_tier || !spread_threads || !no_pebs || !sync_migration ||
+      !record_intervals || !trace_flows || !trace_flows_alias) {
     return kUsageError;
   }
 
@@ -165,13 +210,13 @@ int main(int argc, char** argv) {
   config.num_intervals = static_cast<mtm::u32>(*intervals);
   config.target_accesses = *accesses;
   config.seed = *seed;
-  config.two_tier = flags.GetBool("two-tier", false);
-  config.spread_threads = flags.GetBool("spread-threads", false);
+  config.two_tier = *two_tier;
+  config.spread_threads = *spread_threads;
   config.mtm.overhead_fraction = *overhead;
   config.mtm.alpha = *alpha;
   config.mtm.num_scans = static_cast<mtm::u32>(*num_scans);
-  config.mtm.use_pebs = !flags.GetBool("no-pebs", false);
-  if (flags.GetBool("sync-migration", false)) {
+  config.mtm.use_pebs = !*no_pebs;
+  if (*sync_migration) {
     config.mtm.mechanism = mtm::MechanismKind::kMmrSync;
   }
   std::string admission_name = flags.GetString("admission", "vanilla");
@@ -195,6 +240,16 @@ int main(int argc, char** argv) {
     if (!parsed.ok()) {
       std::fprintf(stderr, "bad --fault_spec: %s\n", parsed.status().ToString().c_str());
       return 1;
+    }
+    // Component numbers index the machine --two-tier selects.
+    const mtm::Machine machine = config.two_tier ? mtm::Machine::TwoTier(config.sim_scale)
+                                                 : mtm::Machine::OptaneFourTier(config.sim_scale);
+    for (const mtm::TierFaultEvent& event : parsed.value().schedule()) {
+      if (event.component >= machine.end_component()) {
+        std::fprintf(stderr, "bad --fault_spec: component %u out of range (the machine has %u)\n",
+                     event.component.value(), machine.num_components());
+        return 1;
+      }
     }
   }
 
@@ -228,13 +283,13 @@ int main(int argc, char** argv) {
   }
 
   mtm::RunOptions options;
-  options.record_intervals = flags.GetBool("record-intervals", false);
+  options.record_intervals = *record_intervals;
   options.evaluate_quality = options.record_intervals;
 
   std::string metrics_out = flags.GetString("metrics-out", flags.GetString("metrics_out", ""));
   std::string trace_out = flags.GetString("trace-out", flags.GetString("trace_out", ""));
   mtm::Observability obs;
-  obs.async_flows = flags.GetBool("trace-flows", flags.GetBool("trace_flows", false));
+  obs.async_flows = *trace_flows || *trace_flows_alias;
   if (!metrics_out.empty() || !trace_out.empty()) {
     options.obs = &obs;
   }
@@ -252,15 +307,8 @@ int main(int argc, char** argv) {
 
   // Every flag mtmsim knows has been read by now; anything left is a typo
   // or a retired option, and running without it would silently ignore it.
-  const std::vector<std::string> unknown = flags.Unqueried();
-  if (!unknown.empty()) {
-    std::string names;
-    for (const std::string& name : unknown) {
-      names += (names.empty() ? "--" : " --") + name;
-    }
-    std::fprintf(stderr, "unknown %s: %s (see the header of tools/mtmsim.cc)\n",
-                 unknown.size() == 1 ? "flag" : "flags", names.c_str());
-    return kUsageError;
+  if (!flags.Unqueried().empty()) {
+    return ReportFlags("unknown", flags.Unqueried(), "see the header of tools/mtmsim.cc");
   }
   if (!flags.positional().empty()) {
     std::fprintf(stderr, "unexpected argument: %s (flags take the form --name=value)\n",
