@@ -1,6 +1,7 @@
 // End-to-end golden and determinism tests. A seeded gups/mtm run must
 // reproduce the metrics JSONL, Chrome trace and report JSON checked into
-// tests/golden/ byte for byte, and a seeded chaos run must reproduce itself.
+// tests/golden/ byte for byte, seeded bfs/sssp runs must reproduce their
+// CSV report rows, and a seeded chaos run must reproduce itself.
 //
 // The goldens were captured before the sharded PTE scan and the staged
 // migration copy existed; the suite names record which stage each test
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -91,6 +93,36 @@ TEST(ParallelMigrationTest, SerialRunMatchesPreAsyncGoldens) {
   EXPECT_EQ(artifacts.trace_json, ReadGolden("scan_gups_trace.json"));
   EXPECT_EQ(artifacts.report_json, ReadGolden("scan_gups_report.json"));
 }
+
+struct GraphCase {
+  const char* workload;
+  SolutionKind solution;
+  const char* golden;
+};
+
+// Names each case by its golden; gtest would otherwise print raw bytes.
+void PrintTo(const GraphCase& c, std::ostream* os) { *os << c.golden; }
+
+class GraphGoldenTest : public ::testing::TestWithParam<GraphCase> {};
+
+TEST_P(GraphGoldenTest, CsvRowMatchesGolden) {
+  // Pins the CSR graph's construction and traversal: any change to the
+  // generated graph or to the emitted access stream moves these rows.
+  const GraphCase& c = GetParam();
+  ExperimentConfig config;
+  config.num_intervals = 400;
+  config.target_accesses = 2'000'000;
+  RunOptions options;
+  RunResult result = RunExperiment(c.workload, c.solution, config, options);
+  EXPECT_EQ(Render(result, ReportFormat::kCsv) + "\n", ReadGolden(c.golden));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Graph, GraphGoldenTest,
+    ::testing::Values(GraphCase{"bfs", SolutionKind::kMtm, "graph_bfs_mtm.csv"},
+                      GraphCase{"bfs", SolutionKind::kHemem, "graph_bfs_hemem.csv"},
+                      GraphCase{"sssp", SolutionKind::kMtm, "graph_sssp_mtm.csv"},
+                      GraphCase{"sssp", SolutionKind::kHemem, "graph_sssp_hemem.csv"}));
 
 TEST(ChaosDeterminismTest, GupsChaosRunReproducesItself) {
   // Injected copy/remap/alloc faults drive every discard path of the staged
