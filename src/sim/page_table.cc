@@ -20,9 +20,6 @@ void PageTable::FreeNode(Node* node, int level) {
 PageTable::Node* PageTable::EnsureChild(Node* node, u64 index) {
   if (node->slots[index] == nullptr) {
     node->slots[index] = new Node();
-    // Scan shards only reach here via WalkTo(create=false), which never
-    // takes this branch; Map/Split mutate serially under the simulator loop.
-    // mtm-analyze: allow(task-member-write) unreachable from scans (create=false)
     ++node_count_;
   }
   return static_cast<Node*>(node->slots[index]);
