@@ -36,6 +36,17 @@ BAD_INPUTS = [
     (["--seed=1", "--seed=2"], "repeated flag: --seed"),
     (["--scale=8", "--alpha=0.1", "--scale=9", "--alpha=0.2"],
      "repeated flags: --scale --alpha"),
+    # Both spellings of a flag with two are a repeat, not "the first wins".
+    (["--fault_spec=copy_fail:p=0.5", "--fault-spec=bogus"],
+     "repeated flags: --fault_spec --fault-spec"),
+    (["--metrics_out=a.jsonl", "--metrics-out=b.jsonl"],
+     "repeated flags: --metrics-out --metrics_out"),
+    (["--trace-out=a.json", "--trace_out=b.json"], "repeated flags: --trace-out --trace_out"),
+    (["--trace-flows", "--trace_flows=false"], "repeated flags: --trace-flows --trace_flows"),
+    (["--policy-features-out=a.jsonl", "--policy_features_out=b.jsonl"],
+     "repeated flags: --policy-features-out --policy_features_out"),
+    (["--heatmap_out=a.jsonl", "--heatmap-out=b.jsonl"],
+     "repeated flags: --heatmap-out --heatmap_out"),
     # Booleans take true|false|1|0|yes|no and nothing else.
     (["--two-tier=ture"], "bad --two-tier: 'ture'"),
     (["--sync-migration=2"], "bad --sync-migration: '2'"),

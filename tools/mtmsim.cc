@@ -51,18 +51,20 @@
 //   --trace-flows       add async-flow arrows linking migrate_arm to
 //                       the matching finish span (needs --trace-out) [false]
 //
-// A malformed command line — an unknown or repeated flag, a positional
-// argument, a value that does not parse or is out of range (booleans take
-// true|false|1|0|yes|no), an unknown name — prints one line to stderr and
-// exits with status 2 before anything runs (--admission, --policy and
-// --fault_spec errors exit 1; a tier_* component must exist on the machine
-// --two-tier selects).
+// A malformed command line — an unknown or repeated flag (giving both
+// spellings of a flag, such as --fault_spec and --fault-spec, repeats it),
+// a positional argument, a value that does not parse or is out of range
+// (booleans take true|false|1|0|yes|no), an unknown name — prints one line
+// to stderr and exits with status 2 before anything runs (--admission,
+// --policy and --fault_spec errors exit 1; a tier_* component must exist on
+// the machine --two-tier selects).
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault_injection.h"
@@ -170,6 +172,20 @@ int main(int argc, char** argv) {
   mtm::FlagSet flags(argc, argv);
   if (!flags.Repeated().empty()) {
     return ReportFlags("repeated", flags.Repeated(), "give each flag once");
+  }
+  // Flags with two spellings: giving both repeats the flag under two names.
+  constexpr std::pair<const char*, const char*> kAliases[] = {
+      {"fault_spec", "fault-spec"},
+      {"metrics-out", "metrics_out"},
+      {"trace-out", "trace_out"},
+      {"trace-flows", "trace_flows"},
+      {"policy-features-out", "policy_features_out"},
+      {"heatmap-out", "heatmap_out"},
+  };
+  for (const auto& [name, alias] : kAliases) {
+    if (flags.Get(name) && flags.Get(alias)) {
+      return ReportFlags("repeated", {name, alias}, "two spellings of one flag; give one");
+    }
   }
   const std::optional<bool> help = ReadBool(flags, "help", false);
   if (!help) {
