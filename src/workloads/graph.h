@@ -11,6 +11,7 @@
 // often than the long tail.
 #pragma once
 
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -22,6 +23,11 @@
 namespace mtm {
 
 // Compressed-sparse-row graph with skewed degree distribution.
+//
+// Offsets and edge targets are stored byte-packed: each array entry takes
+// the fewest whole bytes that hold the array's largest value (num_edges for
+// offsets, num_vertices - 1 for edges), little-endian, back to back. At the
+// default scale that is 4 B per offset and 3 B per edge instead of 8 and 4.
 class CsrGraph {
  public:
   // Builds a graph with ~avg_degree * num_vertices edges; hub vertices are
@@ -29,15 +35,42 @@ class CsrGraph {
   CsrGraph(u64 num_vertices, double avg_degree, double skew_theta, u64 seed);
 
   u64 num_vertices() const { return num_vertices_; }
-  u64 num_edges() const { return edges_.size(); }
-  u64 OffsetOf(u64 v) const { return offsets_[v]; }
-  u64 DegreeOf(u64 v) const { return offsets_[v + 1] - offsets_[v]; }
-  u32 Edge(u64 index) const { return edges_[index]; }
+  u64 num_edges() const { return num_edges_; }
+  u64 OffsetOf(u64 v) const { return offsets_.Get(v); }
+  u64 DegreeOf(u64 v) const { return offsets_.Get(v + 1) - offsets_.Get(v); }
+  u32 Edge(u64 index) const { return static_cast<u32>(edges_.Get(index)); }
 
  private:
+  // `size` unsigned integers, each `width_` bytes. A read is one unaligned
+  // 8-byte load masked to the width; `bytes_` carries 7 bytes of tail slack
+  // so the last entry's load stays in bounds.
+  class PackedArray {
+   public:
+    PackedArray() = default;
+    PackedArray(u64 size, u64 max_value);
+
+    u64 Get(u64 i) const {
+      u64 word;
+      std::memcpy(&word, bytes_.data() + i * width_, sizeof(word));
+      return word & mask_;
+    }
+    // An 8-byte store whose high bytes spill into the entries after i:
+    // entries must be written in ascending order, so that each store
+    // overwrites the previous one's spill.
+    void Set(u64 i, u64 value) {
+      std::memcpy(bytes_.data() + i * width_, &value, sizeof(value));
+    }
+
+   private:
+    u64 width_ = 0;
+    u64 mask_ = 0;
+    std::vector<u8> bytes_;
+  };
+
   u64 num_vertices_;
-  std::vector<u64> offsets_;  // size num_vertices + 1
-  std::vector<u32> edges_;
+  u64 num_edges_;
+  PackedArray offsets_;  // num_vertices + 1 entries
+  PackedArray edges_;    // num_edges entries
 };
 
 class GraphWorkload : public Workload {
@@ -60,12 +93,10 @@ class GraphWorkload : public Workload {
   u32 NextBatch(MemAccess* out, u32 n) override;
   double read_fraction() const override { return 1.0; }  // Table 2: read-only
 
-  const CsrGraph& graph() const { return *graph_; }
-
  private:
   void StartTraversal();
   // Expands one vertex, appending its accesses; returns accesses emitted.
-  u32 ExpandVertex(u64 v, MemAccess* out, u32 capacity);
+  u32 ExpandVertex(u32 v, MemAccess* out, u32 capacity);
 
   Options options_;
   std::unique_ptr<CsrGraph> graph_;
@@ -75,11 +106,11 @@ class GraphWorkload : public Workload {
   VirtAddr edges_start_;
   VirtAddr state_start_;  // visited/distance array
 
+  // Each algorithm holds only the state it reads: BFS a visited flag per
+  // vertex, SSSP a distance per vertex; the other vector stays empty.
   std::vector<u8> visited_;
   std::vector<u32> dist_;
-  std::deque<u64> frontier_;
-  u64 traversals_ = 0;
-  u32 sssp_round_ = 0;
+  std::deque<u32> frontier_;
 };
 
 }  // namespace mtm

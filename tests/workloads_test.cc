@@ -1,8 +1,11 @@
 // Tests for the Table 2 workload generators.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/mem/address_space.h"
@@ -217,6 +220,68 @@ TEST(CsrGraphTest, StructureValid) {
     EXPECT_LT(graph.Edge(i), graph.num_vertices());
   }
 }
+
+// The CSR graph as built before its arrays were byte-packed: u64 offsets,
+// u32 edge targets, the same rng stream. The packed graph must match it
+// entry for entry.
+struct UnpackedCsr {
+  std::vector<u64> offsets;
+  std::vector<u32> edges;
+
+  UnpackedCsr(u64 num_vertices, double avg_degree, double skew_theta, u64 seed) {
+    const u64 target_edges = static_cast<u64>(static_cast<double>(num_vertices) * avg_degree);
+    std::vector<u32> degree(num_vertices, 0);
+    double norm = 0.0;
+    for (u64 r = 0; r < num_vertices; ++r) {
+      norm += 1.0 / std::pow(static_cast<double>(r + 1), skew_theta);
+    }
+    u64 assigned = 0;
+    for (u64 r = 0; r < num_vertices; ++r) {
+      double share = (1.0 / std::pow(static_cast<double>(r + 1), skew_theta)) / norm;
+      u32 d = static_cast<u32>(share * static_cast<double>(target_edges));
+      degree[r] += d;
+      assigned += d;
+    }
+    Rng rng(seed);
+    while (assigned < target_edges) {
+      ++degree[rng.NextBounded(num_vertices)];
+      ++assigned;
+    }
+    offsets.resize(num_vertices + 1);
+    offsets[0] = 0;
+    for (u64 v = 0; v < num_vertices; ++v) {
+      offsets[v + 1] = offsets[v] + degree[v];
+    }
+    edges.resize(offsets[num_vertices]);
+    for (u64 i = 0; i < edges.size(); ++i) {
+      edges[i] = static_cast<u32>(rng.NextBounded(num_vertices));
+    }
+  }
+};
+
+class PackedCsrTest : public ::testing::TestWithParam<u64> {};
+
+TEST_P(PackedCsrTest, MatchesUnpackedReference) {
+  // Vertex counts 2 and 200 pack edge targets in 1 byte, 60,000 in 2 and
+  // 70,000 in 3; offsets take 1, 2, 3 and 3 bytes.
+  const u64 n = GetParam();
+  const CsrGraph graph(n, 4.0, 0.6, 11);
+  const UnpackedCsr reference(n, 4.0, 0.6, 11);
+  ASSERT_EQ(graph.num_vertices(), n);
+  ASSERT_EQ(graph.num_edges(), reference.edges.size());
+  for (u64 v = 0; v < n; ++v) {
+    ASSERT_EQ(graph.OffsetOf(v), reference.offsets[v]) << "vertex " << v;
+    ASSERT_EQ(graph.DegreeOf(v), reference.offsets[v + 1] - reference.offsets[v])
+        << "vertex " << v;
+  }
+  ASSERT_EQ(graph.OffsetOf(n), reference.offsets[n]);
+  for (u64 i = 0; i < reference.edges.size(); ++i) {
+    ASSERT_EQ(graph.Edge(i), reference.edges[i]) << "edge " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeWidths, PackedCsrTest,
+                         ::testing::Values(u64{2}, u64{200}, u64{60'000}, u64{70'000}));
 
 TEST(CsrGraphTest, DegreeSkewHubsAtLowIds) {
   CsrGraph graph(10000, 15.5, 0.6, 7);
