@@ -135,7 +135,8 @@ u32 GraphWorkload::ExpandVertex(u32 v, MemAccess* out, u32 capacity) {
   }
   u64 off = graph_->OffsetOf(v);
   u64 deg = graph_->DegreeOf(v);
-  u64 relaxed = bfs || dist_[v] == ~u32{0} ? 0u : dist_[v] + 1;
+  // A frontier vertex's distance is always set, so `relaxed` >= 1 for SSSP.
+  const u64 relaxed = bfs ? 0 : u64{dist_[v]} + 1;
   for (u64 i = 0; i < deg && filled < capacity; ++i) {
     if (i % options_.edges_per_access == 0) {
       out[filled++] = MemAccess{edges_start_ + (off + i) * kEdgeStride, thread, false};
@@ -151,7 +152,7 @@ u32 GraphWorkload::ExpandVertex(u32 v, MemAccess* out, u32 capacity) {
         frontier_.push_back(w);
       }
     } else {
-      if (relaxed != 0 && relaxed < dist_[w]) {
+      if (relaxed < dist_[w]) {
         dist_[w] = static_cast<u32>(relaxed);
         frontier_.push_back(w);
       }

@@ -27,7 +27,7 @@ namespace mtm {
 // Offsets and edge targets are stored byte-packed: each array entry takes
 // the fewest whole bytes that hold the array's largest value (num_edges for
 // offsets, num_vertices - 1 for edges), little-endian, back to back. At the
-// default scale that is 4 B per offset and 3 B per edge instead of 8 and 4.
+// default scale that is 4 B per offset and 3 B per edge.
 class CsrGraph {
  public:
   // Builds a graph with ~avg_degree * num_vertices edges; hub vertices are
