@@ -69,6 +69,7 @@ class Solution {
   AddressSpace& address_space() { return address_space_; }
   MemCounters& counters() { return *counters_; }
   AccessEngine& engine() { return *engine_; }
+  // Exact per-page counts; ranges are registered only under Thermostat.
   AccessTracker& tracker() { return tracker_; }
   PebsEngine* pebs() { return pebs_.get(); }
 

@@ -38,6 +38,20 @@ SimNanos AccessEngine::PageFillCost(u32 socket, ComponentId component) const {
                          static_cast<double>(config_.num_threads));
 }
 
+SimNanos AccessEngine::LinkCost(u32 socket, ComponentId component) {
+  const u32 num_components = machine_.num_components();
+  if (cost_table_version_ != machine_.links_version()) {
+    cost_table_.clear();
+    for (u32 s = 0; s < machine_.num_sockets(); ++s) {
+      for (ComponentId c{0}; c < machine_.end_component(); ++c) {
+        cost_table_.push_back(AccessCost(s, c));
+      }
+    }
+    cost_table_version_ = machine_.links_version();
+  }
+  return cost_table_[socket * num_components + component.value()];
+}
+
 Pte* AccessEngine::Translate(VirtAddr addr) {
   Vpn vpn = VpnOf(addr);
   TlbEntry& slot = tlb_[vpn.value() & (kTlbSize - 1)];
@@ -112,12 +126,12 @@ ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
     HmcCache::AccessOutcome outcome = cache->Access(VpnOf(addr), is_write);
     ComponentId local_dram = machine_.TierOrder(home)[0];
     if (outcome.hit) {
-      clock_.AdvanceApp(AccessCost(socket, local_dram) +
+      clock_.AdvanceApp(LinkCost(socket, local_dram) +
                         config_.hmc_hit_overhead_ns / config_.num_threads);
     } else {
       // Miss: the demand access goes to PM, and the 4 KiB line fill consumes
       // PM bandwidth (modeled as a handful of line transfers of overhead).
-      SimNanos miss_cost = AccessCost(socket, component);
+      SimNanos miss_cost = LinkCost(socket, component);
       SimNanos fill_cost = PageFillCost(home, component);
       SimNanos writeback_cost =
           outcome.dirty_writeback ? PageFillCost(home, component) : SimNanos{};
@@ -130,7 +144,7 @@ ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
     return component;
   }
 
-  clock_.AdvanceApp(AccessCost(socket, component));
+  clock_.AdvanceApp(LinkCost(socket, component));
   if (pebs_ != nullptr) {
     pebs_->Observe(addr, component, socket, is_write);
   }

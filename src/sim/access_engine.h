@@ -117,6 +117,9 @@ class AccessEngine {
   static constexpr u64 kTlbSize = 256;  // direct-mapped software TLB
 
   Pte* Translate(VirtAddr addr);
+  // AccessCost(socket, component) from a table that is refilled whenever the
+  // machine's links change (a bandwidth derate in a chaos run).
+  SimNanos LinkCost(u32 socket, ComponentId component);
 
   const Machine& machine_;
   PageTable& page_table_;
@@ -131,6 +134,8 @@ class AccessEngine {
   std::vector<HmcCache*> hmc_caches_;
 
   std::vector<TlbEntry> tlb_;
+  std::vector<SimNanos> cost_table_;  // [socket * num_components + component]
+  u64 cost_table_version_ = ~u64{0};  // machine links_version() it was filled at
   std::vector<HintFaultEvent> hint_fault_buffer_;
 
   u64 total_accesses_ = 0;

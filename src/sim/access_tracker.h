@@ -1,13 +1,11 @@
 // Dense per-page access counting over registered address ranges.
 //
-// Two consumers, carefully separated:
-//  * the ground-truth oracle (Figure 1 recall/accuracy, Figure 6 heatmaps,
-//    Table 3 hot-page volumes) — it may read exact counts because it is
-//    measurement infrastructure, not part of any profiler under test;
-//  * the Thermostat profiler model — Thermostat counts accesses to its
-//    sampled 4 KiB pages exactly (via mprotect + protection faults), so its
-//    model is allowed to read the exact count of *its sampled pages only*,
-//    paying the paper-reported higher per-sample cost.
+// Its one reader is the Thermostat profiler model: Thermostat counts
+// accesses to its sampled 4 KiB pages exactly (via mprotect + protection
+// faults), so its model is allowed to read the exact count of *its sampled
+// pages only*, paying the paper-reported higher per-sample cost. Solution
+// registers ranges and feeds accesses only in Thermostat runs; an empty
+// tracker costs nothing (DESIGN.md §17).
 #pragma once
 
 #include <vector>

@@ -90,6 +90,7 @@ void Machine::SetBandwidthDerate(ComponentId id, double factor) {
   for (u32 s = 0; s < num_sockets_; ++s) {
     links_[s][id].bandwidth_gbps = base_links_[s][id].bandwidth_gbps * factor;
   }
+  ++links_version_;
 }
 
 void Machine::SetOffline(ComponentId id, bool offline) {

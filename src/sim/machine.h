@@ -74,6 +74,9 @@ class Machine {
   // their residents. Latency and tier ordering are unchanged — a degraded
   // device is still the same distance away, it just moves data slower.
   void SetBandwidthDerate(ComponentId id, double factor);  // in (0, 1]
+  // Bumped by every SetBandwidthDerate, so caches of link-derived costs (the
+  // access engine's cost table) can revalidate.
+  u64 links_version() const { return links_version_; }
   void SetOffline(ComponentId id, bool offline);
   bool IsOffline(ComponentId id) const { return health_[id].offline; }
   double BandwidthDerate(ComponentId id) const { return health_[id].bandwidth_derate; }
@@ -95,6 +98,7 @@ class Machine {
   std::vector<IdMap<ComponentId, LinkSpec>> links_;       // [socket][component]
   std::vector<IdMap<ComponentId, LinkSpec>> base_links_;  // pristine copy for derates
   IdMap<ComponentId, ComponentHealth> health_;
+  u64 links_version_ = 0;
   std::vector<std::vector<ComponentId>> tier_order_;  // [socket] -> ranked components
   std::vector<IdMap<ComponentId, TierId>> tier_rank_;  // [socket][component] -> rank
 };

@@ -2,64 +2,29 @@
 
 namespace mtm {
 
-PageTable::PageTable() : root_(new Node()) { node_count_ = 1; }
-
-PageTable::~PageTable() { FreeNode(root_, kLevels - 1); }
-
-void PageTable::FreeNode(Node* node, int level) {
-  if (level > 0) {
-    for (u64 i = 0; i < kEntriesPerNode; ++i) {
-      if (node->slots[i] != nullptr) {
-        FreeNode(static_cast<Node*>(node->slots[i]), level - 1);
-      }
-    }
+PageTable::Dir* PageTable::WalkToDir(VirtAddr addr, bool create) {
+  static_assert(kLevels == 5, "Root spans levels 4..2 above the level-1 Dir");
+  auto* level3 = Step(root_.children[IndexAt(addr, 4)], create);
+  if (level3 == nullptr) {
+    return nullptr;
   }
-  delete node;
-}
-
-PageTable::Node* PageTable::EnsureChild(Node* node, u64 index) {
-  if (node->slots[index] == nullptr) {
-    node->slots[index] = new Node();
-    ++node_count_;
+  auto* level2 = Step(level3->children[IndexAt(addr, 3)], create);
+  if (level2 == nullptr) {
+    return nullptr;
   }
-  return static_cast<Node*>(node->slots[index]);
-}
-
-PageTable::Node* PageTable::WalkTo(VirtAddr addr, int target_level, bool create) {
-  Node* node = root_;
-  for (int level = kLevels - 1; level > target_level; --level) {
-    u64 index = IndexAt(addr, level);
-    if (create) {
-      node = EnsureChild(node, index);
-    } else {
-      node = static_cast<Node*>(node->slots[index]);
-      if (node == nullptr) {
-        return nullptr;
-      }
-    }
-  }
-  return node;
-}
-
-const PageTable::Node* PageTable::WalkToConst(VirtAddr addr, int target_level) const {
-  const Node* node = root_;
-  for (int level = kLevels - 1; level > target_level; --level) {
-    node = static_cast<const Node*>(node->slots[IndexAt(addr, level)]);
-    if (node == nullptr) {
-      return nullptr;
-    }
-  }
-  return node;
+  return Step(level2->children[IndexAt(addr, 2)], create);
 }
 
 Status PageTable::MapOne(VirtAddr addr, ComponentId component, bool huge) {
+  Dir* dir = WalkToDir(addr, /*create=*/true);
+  const u64 index = IndexAt(addr, 1);
+  Pte& dir_pte = dir->huge[index];
+  std::unique_ptr<Leaf>& leaf = dir->leaves[index];
   if (huge) {
-    Node* node = WalkTo(addr, /*target_level=*/1, /*create=*/true);
-    Pte& pte = node->entries[IndexAt(addr, 1)];
-    if (pte.present()) {
+    if (dir_pte.present()) {
       return AlreadyExistsError("huge page already mapped");
     }
-    if (Node* leaf = static_cast<Node*>(node->slots[IndexAt(addr, 1)]); leaf != nullptr) {
+    if (leaf != nullptr) {
       // A leaf table may linger after all its base pages were unmapped;
       // only live entries block a huge mapping.
       for (const Pte& entry : leaf->entries) {
@@ -67,25 +32,21 @@ Status PageTable::MapOne(VirtAddr addr, ComponentId component, bool huge) {
           return AlreadyExistsError("base pages already mapped under huge range");
         }
       }
-      delete leaf;
-      node->slots[IndexAt(addr, 1)] = nullptr;
+      leaf.reset();
       --node_count_;
     }
-    pte = Pte{};
-    pte.Set(Pte::kPresent);
-    pte.Set(Pte::kHuge);
-    pte.component = component;
+    dir_pte = Pte{};
+    dir_pte.Set(Pte::kPresent);
+    dir_pte.Set(Pte::kHuge);
+    dir_pte.component = component;
     mapped_bytes_ += kHugePageBytes;
     ++mapped_huge_pages_;
     return OkStatus();
   }
-  Node* dir = WalkTo(addr, /*target_level=*/1, /*create=*/true);
-  Pte& dir_pte = dir->entries[IndexAt(addr, 1)];
   if (dir_pte.present() && dir_pte.huge()) {
     return AlreadyExistsError("huge page already mapped at this address");
   }
-  Node* leaf = EnsureChild(dir, IndexAt(addr, 1));
-  Pte& pte = leaf->entries[IndexAt(addr, 0)];
+  Pte& pte = Step(leaf, /*create=*/true)->entries[IndexAt(addr, 0)];
   if (pte.present()) {
     return AlreadyExistsError("page already mapped");
   }
@@ -144,18 +105,18 @@ Status PageTable::UnmapRange(VirtAddr start, Bytes len) {
 }
 
 Status PageTable::SplitHuge(VirtAddr addr) {
-  Node* dir = WalkTo(addr, 1, /*create=*/false);
+  Dir* dir = WalkToDir(addr, /*create=*/false);
   if (dir == nullptr) {
     return NotFoundError("no mapping");
   }
-  u64 index = IndexAt(addr, 1);
-  Pte& dir_pte = dir->entries[index];
+  const u64 index = IndexAt(addr, 1);
+  Pte& dir_pte = dir->huge[index];
   if (!dir_pte.present() || !dir_pte.huge()) {
     return FailedPreconditionError("not a huge mapping");
   }
   Pte copy = dir_pte;
   dir_pte = Pte{};
-  Node* leaf = EnsureChild(dir, index);
+  Leaf* leaf = Step(dir->leaves[index], /*create=*/true);
   for (u64 i = 0; i < kPagesPerHugePage; ++i) {
     Pte& pte = leaf->entries[i];
     pte = copy;
@@ -168,19 +129,19 @@ Status PageTable::SplitHuge(VirtAddr addr) {
 }
 
 Pte* PageTable::Find(VirtAddr addr, Bytes* mapping_size) {
-  Node* dir = WalkTo(addr, 1, /*create=*/false);
+  Dir* dir = WalkToDir(addr, /*create=*/false);
   if (dir == nullptr) {
     return nullptr;
   }
-  u64 index = IndexAt(addr, 1);
-  Pte& dir_pte = dir->entries[index];
+  const u64 index = IndexAt(addr, 1);
+  Pte& dir_pte = dir->huge[index];
   if (dir_pte.present()) {
     if (mapping_size != nullptr) {
       *mapping_size = kHugePageBytes;
     }
     return &dir_pte;
   }
-  Node* leaf = static_cast<Node*>(dir->slots[index]);
+  Leaf* leaf = dir->leaves[index].get();
   if (leaf == nullptr) {
     return nullptr;
   }

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -78,8 +79,7 @@ class PageTable {
   static constexpr u64 kEntriesPerNode = 1ull << kBitsPerLevel;
   static constexpr u64 kVaBits = kPageShift + kLevels * kBitsPerLevel;  // 57
 
-  PageTable();
-  ~PageTable();
+  PageTable() = default;
 
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;
@@ -137,8 +137,9 @@ class PageTable {
   u64 mapped_base_pages() const { return mapped_base_pages_; }
   u64 mapped_huge_pages() const { return mapped_huge_pages_; }
 
-  // Number of 4 KiB pages occupied by the table itself (the "page table
-  // pages" migrated by move_memory_regions in Figure 2/3).
+  // Number of radix nodes in the table, the root included: each stands for
+  // one page-table page of the modeled MMU (the "page table pages" migrated
+  // by move_memory_regions in Figure 2/3), whatever its host size.
   u64 page_table_pages() const { return node_count_; }
 
   // Bumped whenever any translation changes (map/unmap/split/remap). Caches
@@ -147,32 +148,50 @@ class PageTable {
   void BumpGeneration() { ++generation_; }
 
  private:
-  struct Node {
-    std::array<void*, kEntriesPerNode> slots;  // child Node* or nullptr
-    std::array<Pte, kEntriesPerNode> entries;  // leaf PTEs at levels 0/1
-    Node() { slots.fill(nullptr); }
+  // One node type per kind of level, each holding only what its level reads
+  // (DESIGN.md §17): a level-0 table only PTEs, a level-1 directory leaf
+  // tables and 2 MiB huge entries, levels 2-4 only child pointers.
+  struct Leaf {
+    std::array<Pte, kEntriesPerNode> entries;
   };
+  struct Dir {
+    std::array<std::unique_ptr<Leaf>, kEntriesPerNode> leaves;
+    std::array<Pte, kEntriesPerNode> huge;
+  };
+  template <typename Child>
+  struct Interior {
+    std::array<std::unique_ptr<Child>, kEntriesPerNode> children;
+  };
+  using Root = Interior<Interior<Interior<Dir>>>;
+  static_assert(sizeof(Leaf) == 8 * 1024 && sizeof(Dir) == 12 * 1024 && sizeof(Root) == 4 * 1024,
+                "node sizes quoted in DESIGN.md §17");
 
   static u64 IndexAt(VirtAddr addr, int level) {
     return addr.Shifted(kPageShift + static_cast<u64>(level) * kBitsPerLevel) &
            (kEntriesPerNode - 1);
   }
 
-  Node* EnsureChild(Node* node, u64 index);
-  void FreeNode(Node* node, int level);
+  // Follows one radix slot; with `create`, an empty slot gets a new node.
+  template <typename Child>
+  Child* Step(std::unique_ptr<Child>& slot, bool create) {
+    if (slot == nullptr && create) {
+      slot = std::make_unique<Child>();
+      ++node_count_;
+    }
+    return slot.get();
+  }
 
-  // Walks to the node at `target_level` for addr, optionally creating
-  // intermediate nodes.
-  Node* WalkTo(VirtAddr addr, int target_level, bool create);
-  const Node* WalkToConst(VirtAddr addr, int target_level) const;
+  // The level-1 directory covering addr, or nullptr when it does not exist
+  // and `create` is false.
+  Dir* WalkToDir(VirtAddr addr, bool create);
 
   Status MapOne(VirtAddr addr, ComponentId component, bool huge);
 
-  Node* root_;
+  Root root_;
   Bytes mapped_bytes_;
   u64 mapped_base_pages_ = 0;
   u64 mapped_huge_pages_ = 0;
-  u64 node_count_ = 0;
+  u64 node_count_ = 1;  // root_
   u64 generation_ = 0;
 };
 

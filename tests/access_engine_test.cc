@@ -91,6 +91,27 @@ TEST_F(AccessEngineTest, CostModelLatencyVsBandwidth) {
   EXPECT_LE(c1, Nanos(90 / 8) + engine_.config().cpu_ns_per_access);
 }
 
+TEST_F(AccessEngineTest, DerateReachesChargedCost) {
+  // Apply charges from a per-link cost table; a bandwidth derate mid-run
+  // must invalidate it, so each access costs what AccessCost computes now.
+  BuildVma(MiB(2), false);
+  engine_.Apply(base(), false, 0);  // faults the page in
+  const ComponentId c = page_table_.Find(base())->component;
+  auto charge = [&](u32 socket) {
+    SimNanos before = clock_.app_ns();
+    engine_.Apply(base(), false, socket);
+    return clock_.app_ns() - before;
+  };
+  const SimNanos pristine = engine_.AccessCost(0, c);
+  EXPECT_EQ(charge(0), pristine);
+  machine_.SetBandwidthDerate(c, 0.01);
+  ASSERT_GT(engine_.AccessCost(0, c), pristine);  // now bandwidth-bound
+  EXPECT_EQ(charge(0), engine_.AccessCost(0, c));
+  EXPECT_EQ(charge(1), engine_.AccessCost(1, c));
+  machine_.SetBandwidthDerate(c, 1.0);
+  EXPECT_EQ(charge(0), pristine);
+}
+
 TEST_F(AccessEngineTest, ClockAdvancesPerAccess) {
   BuildVma(MiB(2), false);
   SimNanos before = clock_.app_ns();

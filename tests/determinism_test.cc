@@ -1,7 +1,8 @@
 // End-to-end golden and determinism tests. A seeded gups/mtm run must
 // reproduce the metrics JSONL, Chrome trace and report JSON checked into
-// tests/golden/ byte for byte, seeded bfs/sssp runs must reproduce their
-// CSV report rows, and a seeded chaos run must reproduce itself.
+// tests/golden/ byte for byte, seeded bfs/sssp and gups/thermostat runs must
+// reproduce their CSV report rows, and a seeded chaos run must reproduce
+// itself.
 //
 // The goldens were captured before the sharded PTE scan and the staged
 // migration copy existed; the suite names record which stage each test
@@ -123,6 +124,19 @@ INSTANTIATE_TEST_SUITE_P(
                       GraphCase{"bfs", SolutionKind::kHemem, "graph_bfs_hemem.csv"},
                       GraphCase{"sssp", SolutionKind::kMtm, "graph_sssp_mtm.csv"},
                       GraphCase{"sssp", SolutionKind::kHemem, "graph_sssp_hemem.csv"}));
+
+TEST(TrackerGoldenTest, ThermostatCsvRowMatchesGolden) {
+  // Thermostat is the one solution whose output depends on the exact
+  // per-page access counts. The row was captured while every solution still
+  // fed the tracker, so it pins the counts Thermostat reads now that only
+  // its runs do.
+  ExperimentConfig config;
+  config.num_intervals = 400;
+  config.target_accesses = 2'000'000;
+  RunResult result =
+      RunExperiment("gups", SolutionKind::kThermostatProfilerMtmMigration, config);
+  EXPECT_EQ(Render(result, ReportFormat::kCsv) + "\n", ReadGolden("thermostat_gups.csv"));
+}
 
 TEST(ChaosDeterminismTest, GupsChaosRunReproducesItself) {
   // Injected copy/remap/alloc faults drive every discard path of the staged

@@ -7,7 +7,9 @@
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
 #include "src/core/solution.h"
+#include "src/mem/address_space.h"
 #include "src/migration/mechanism.h"
+#include "src/workloads/workload.h"
 #include "src/workloads/workload_factory.h"
 
 namespace mtm {
@@ -30,6 +32,24 @@ TEST(SolutionTest, NamesRoundTrip) {
     EXPECT_EQ(SolutionKindFromName(SolutionKindName(kind)), kind);
   }
   EXPECT_EQ(Figure4Solutions().size(), 6u);
+}
+
+TEST(SolutionTest, TrackerRegisteredOnlyForThermostat) {
+  // Only Thermostat reads exact per-page counts, so only its solution pays
+  // for the tracker's arrays and per-access bump.
+  const ExperimentConfig config = TinyConfig();
+  for (SolutionKind kind : AllSolutionKinds()) {
+    std::unique_ptr<Workload> workload =
+        MakeWorkload("gups", config.sim_scale, config.num_threads, config.seed);
+    Solution solution(kind, config, *workload);
+    u64 vma_pages = 0;
+    for (const Vma& vma : solution.address_space().vmas()) {
+      vma_pages += NumPages(vma.len);
+    }
+    ASSERT_GT(vma_pages, 0u);
+    const u64 expected = kind == SolutionKind::kThermostatProfilerMtmMigration ? vma_pages : 0;
+    EXPECT_EQ(solution.tracker().TotalPages(), expected) << SolutionKindName(kind);
+  }
 }
 
 TEST(DriverTest, FirstTouchNeverMigrates) {

@@ -134,7 +134,9 @@ TEST(PageTableTest, SplitHuge) {
   PageTable pt;
   ASSERT_TRUE(pt.MapRange(kBase, kHugePageBytes, ComponentId(3), true).ok());
   pt.Touch(kBase, true);
+  const u64 nodes = pt.page_table_pages();
   ASSERT_TRUE(pt.SplitHuge(kBase + 5 * kPageSize).ok());
+  EXPECT_EQ(pt.page_table_pages(), nodes + 1);  // exactly one new leaf
   EXPECT_EQ(pt.mapped_huge_pages(), 0u);
   EXPECT_EQ(pt.mapped_base_pages(), kPagesPerHugePage);
   Bytes size;
@@ -186,6 +188,53 @@ TEST(PageTableTest, PageTablePagesGrow) {
   u64 before = pt.page_table_pages();
   ASSERT_TRUE(pt.MapRange(kBase, MiB(8), ComponentId(0), false).ok());
   EXPECT_GT(pt.page_table_pages(), before);
+}
+
+TEST(PageTableTest, HugeMapFreesLingeringLeaf) {
+  // Unmapping base pages leaves their leaf table behind; a huge mapping over
+  // the now-empty range frees it.
+  PageTable pt;
+  ASSERT_TRUE(pt.MapRange(kBase, 16 * kPageBytes, ComponentId(0), false).ok());
+  ASSERT_TRUE(pt.UnmapRange(kBase, 16 * kPageBytes).ok());
+  const u64 with_leaf = pt.page_table_pages();
+  ASSERT_TRUE(pt.MapRange(kBase, kHugePageBytes, ComponentId(1), true).ok());
+  EXPECT_EQ(pt.page_table_pages(), with_leaf - 1);
+  Bytes size;
+  ASSERT_NE(pt.Find(kBase + 3 * kPageSize, &size), nullptr);
+  EXPECT_EQ(size, kHugePageBytes);
+}
+
+TEST(PageTableTest, NodesAtEveryLevel) {
+  // Mappings whose addresses first differ at each radix level, so the table
+  // grows nodes at all five levels; the ASan/UBSan build checks that
+  // destroying it frees every one of them.
+  PageTable pt;
+  EXPECT_EQ(pt.page_table_pages(), 1u);  // the root
+  ASSERT_TRUE(pt.MapRange(kBase, kPageBytes, ComponentId(0), false).ok());
+  EXPECT_EQ(pt.page_table_pages(), 5u);  // levels 3, 2, 1 and a leaf
+  ASSERT_TRUE(pt.MapRange(kBase + kHugePageSize, kHugePageBytes, ComponentId(1), true).ok());
+  EXPECT_EQ(pt.page_table_pages(), 5u);  // a huge entry lives in the level-1 node
+  const VirtAddr level2 = kBase + (u64{1} << 30);
+  ASSERT_TRUE(pt.MapRange(level2, kPageBytes, ComponentId(2), false).ok());
+  EXPECT_EQ(pt.page_table_pages(), 7u);
+  const VirtAddr level3 = kBase + (u64{1} << 39);
+  ASSERT_TRUE(pt.MapRange(level3, kPageBytes, ComponentId(3), false).ok());
+  EXPECT_EQ(pt.page_table_pages(), 10u);
+  const VirtAddr level4 = kBase + (u64{1} << 48);
+  ASSERT_TRUE(pt.MapRange(level4, kHugePageBytes, ComponentId(0), true).ok());
+  EXPECT_EQ(pt.page_table_pages(), 13u);
+  ASSERT_TRUE(pt.SplitHuge(level4).ok());
+  EXPECT_EQ(pt.page_table_pages(), 14u);
+
+  EXPECT_EQ(pt.Find(kBase)->component, ComponentId(0));
+  EXPECT_EQ(pt.Find(kBase + kHugePageSize + kPageSize)->component, ComponentId(1));
+  EXPECT_EQ(pt.Find(level2)->component, ComponentId(2));
+  EXPECT_EQ(pt.Find(level3)->component, ComponentId(3));
+  Bytes size;
+  ASSERT_NE(pt.Find(level4 + 7 * kPageSize, &size), nullptr);
+  EXPECT_EQ(size, kPageBytes);
+  EXPECT_EQ(pt.mapped_base_pages(), 3u + kPagesPerHugePage);
+  EXPECT_EQ(pt.mapped_huge_pages(), 1u);
 }
 
 TEST(PageTableTest, ScanCostOfLargeTable) {
